@@ -53,9 +53,12 @@
 //   - production serving: internal/serve is cmd/adjserve's front door —
 //     Prometheus-style GET /metrics (dependency-free internal/obs),
 //     bounded admission pools per endpoint class shedding overload as
-//     429 + Retry-After, and POST /batch answering many ops from one
-//     pinned snapshot; cmd/loadgen drives it with open-model zipfian
-//     load and records per-endpoint latency percentiles (BENCH_7.json);
+//     429 + Retry-After, POST /batch answering many ops from one
+//     pinned snapshot, and an append-based wire writer that streams
+//     results in vertex-id order, byte-identical to encoding/json
+//     (±Inf and NaN as value.FormatFloat strings); cmd/loadgen drives
+//     it with open-model zipfian load and records per-endpoint latency
+//     percentiles (BENCH_7.json);
 //   - fault tolerance: internal/iofault injects deterministic disk
 //     faults (EIO, ENOSPC, short and torn writes) through a VFS seam
 //     under the WAL and durable views; a failed fsync or log write

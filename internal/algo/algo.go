@@ -23,11 +23,14 @@
 //     the adjacency's CSR embedded in the square union vertex space,
 //     switching push→pull automatically as the frontier densifies, with
 //     a lazily built transpose for the pull direction and string↔id
-//     translation only at the API boundary. Results are BIT-identical
-//     to the reference forms — the kernels share their fold order
-//     (ascending in-neighbor id per output, Definition I.3) and their
-//     Zero-pruning — at one to two orders of magnitude less cost; see
-//     BenchmarkAlgo* and cmd/graphbench -gen algo.
+//     translation only at the API boundary. The dense forms
+//     (BFSLevelsDense, SSSPDense, WidestPathDense, PageRankDense)
+//     return result vectors indexed by vertex id over Vertices(); the
+//     map-returning methods are thin adapters over them. Results are
+//     BIT-identical to the reference forms — the kernels share their
+//     fold order (ascending in-neighbor id per output, Definition I.3)
+//     and their Zero-pruning — at one to two orders of magnitude less
+//     cost; see BenchmarkAlgo* and cmd/graphbench -gen algo.
 //
 // Graphs built with FromSnapshot read a stream.View's maintained CSR
 // directly, which is how cmd/adjserve answers /bfs, /sssp, /widest,

@@ -105,11 +105,28 @@ func (g *Graph) frontierEdges(ids []int) int {
 	return e
 }
 
-// BFSLevels is the CSR-native form of the package-level BFSLevels:
-// breadth-first hop counts from source over the adjacency pattern,
-// direction-optimizing — sparse frontiers push along out-edges, dense
-// frontiers pull along in-edges with early exit per vertex.
+// BFSLevels is the CSR-native form of the package-level BFSLevels: the
+// map adapter over BFSLevelsDense.
 func (g *Graph) BFSLevels(source string) (map[string]int, error) {
+	level, err := g.BFSLevelsDense(source)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]int)
+	for i, l := range level {
+		if l >= 0 {
+			out[g.verts.Key(i)] = l
+		}
+	}
+	return out, nil
+}
+
+// BFSLevelsDense computes breadth-first hop counts from source over the
+// adjacency pattern, direction-optimizing — sparse frontiers push along
+// out-edges, dense frontiers pull along in-edges with early exit per
+// vertex. Index i of the result is vertex Vertices().Key(i): its hop
+// count (source = 0), or -1 when source does not reach it.
+func (g *Graph) BFSLevelsDense(source string) ([]int, error) {
 	src, err := g.vertex(source)
 	if err != nil {
 		return nil, err
@@ -154,13 +171,7 @@ func (g *Graph) BFSLevels(source string) (map[string]int, error) {
 		}
 		frontier, next = next, frontier
 	}
-	out := make(map[string]int)
-	for i, l := range level {
-		if l >= 0 {
-			out[g.verts.Key(i)] = l
-		}
-	}
-	return out, nil
+	return level, nil
 }
 
 // relaxToFixpoint runs the shared frontier-relaxation loop of the
@@ -251,46 +262,63 @@ func sortIDs(xs []int) {
 	}
 }
 
-// extract converts a dense result vector back to the string-keyed map.
-func (g *Graph) extract(val []float64, has []bool) map[string]float64 {
-	out := make(map[string]float64)
-	for i, ok := range has {
-		if ok {
-			out[g.verts.Key(i)] = val[i]
+// extract is the map adapter of the dense result forms: it keys each
+// present entry (every entry when has is nil) by its vertex. Its
+// parameter list matches the dense forms' results, so an adapter can
+// pass a call straight through.
+func (g *Graph) extract(val []float64, has []bool, err error) (map[string]float64, error) {
+	if err != nil {
+		return nil, err
+	}
+	size := 0
+	if has == nil {
+		size = len(val)
+	}
+	out := make(map[string]float64, size)
+	for i, v := range val {
+		if has == nil || has[i] {
+			out[g.verts.Key(i)] = v
 		}
 	}
-	return out
+	return out, nil
 }
 
 // SSSP is the CSR-native single-source shortest-path distance map under
-// min.+ — Bellman–Ford with a sparse active set instead of full-vector
-// products.
+// min.+: the map adapter over SSSPDense.
 func (g *Graph) SSSP(source string) (map[string]float64, error) {
+	return g.extract(g.SSSPDense(source))
+}
+
+// SSSPDense runs Bellman–Ford under min.+ with a sparse active set
+// instead of full-vector products. Index i of the results is vertex
+// Vertices().Key(i): dist[i] is its distance from source, meaningful
+// only where has[i] (reachable).
+func (g *Graph) SSSPDense(source string) (dist []float64, has []bool, err error) {
 	src, err := g.vertex(source)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	val, has, err := g.relaxToFixpoint(src, 0, semiring.MinPlus(), g.verts.Len(),
+	return g.relaxToFixpoint(src, 0, semiring.MinPlus(), g.verts.Len(),
 		fmt.Sprintf("no fixpoint after %d rounds (negative cycle?)", g.verts.Len()))
-	if err != nil {
-		return nil, err
-	}
-	return g.extract(val, has), nil
 }
 
 // WidestPath is the CSR-native maximum-bottleneck-width map under
-// max.min; the source seeds at +Inf (an empty path constrains nothing).
+// max.min: the map adapter over WidestPathDense.
 func (g *Graph) WidestPath(source string) (map[string]float64, error) {
+	return g.extract(g.WidestPathDense(source))
+}
+
+// WidestPathDense computes maximum bottleneck widths under max.min; the
+// source seeds at +Inf (an empty path constrains nothing). Index i of
+// the results is vertex Vertices().Key(i): width[i] is its width from
+// source, meaningful only where has[i] (reachable).
+func (g *Graph) WidestPathDense(source string) (width []float64, has []bool, err error) {
 	src, err := g.vertex(source)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	val, has, err := g.relaxToFixpoint(src, value.PosInf, semiring.MaxMin(), g.verts.Len(),
+	return g.relaxToFixpoint(src, value.PosInf, semiring.MaxMin(), g.verts.Len(),
 		fmt.Sprintf("widest-path failed to converge in %d rounds", g.verts.Len()))
-	if err != nil {
-		return nil, err
-	}
-	return g.extract(val, has), nil
 }
 
 // Components is the CSR-native weakly-connected-components labeling:
@@ -402,18 +430,30 @@ func intersectCount(a, b []int) int64 {
 	return c
 }
 
-// PageRank is the CSR-native damped PageRank with uniform teleport and
+// PageRank is the CSR-native damped PageRank: the map adapter over
+// PageRankDense. Returns the rank map and iterations used.
+func (g *Graph) PageRank(damping, tol float64, maxIter int) (map[string]float64, int, error) {
+	rank, used, err := g.PageRankDense(damping, tol, maxIter)
+	if err != nil {
+		return nil, 0, err
+	}
+	out, _ := g.extract(rank, nil, nil)
+	return out, used, nil
+}
+
+// PageRankDense computes the damped PageRank with uniform teleport and
 // dangling-mass redistribution: one dense pull SpMV over the
 // out-degree-normalized transpose per iteration, numerically identical
 // to the reference (same ascending in-neighbor fold, same vertex-order
-// reductions). Returns the rank map and iterations used.
-func (g *Graph) PageRank(damping, tol float64, maxIter int) (map[string]float64, int, error) {
+// reductions). Index i of the rank vector is vertex Vertices().Key(i);
+// the second result is the number of iterations used.
+func (g *Graph) PageRankDense(damping, tol float64, maxIter int) ([]float64, int, error) {
 	if damping <= 0 || damping >= 1 {
 		return nil, 0, fmt.Errorf("algo: damping must be in (0,1), got %v", damping)
 	}
 	n := g.verts.Len()
 	if n == 0 {
-		return map[string]float64{}, 0, nil
+		return []float64{}, 0, nil
 	}
 	// Pᵀ with value 1/outdeg(u) at (v, u): the transpose's column ids ARE
 	// the source vertices, so normalization is a value rewrite — built
@@ -454,16 +494,8 @@ func (g *Graph) PageRank(damping, tol float64, maxIter int) (map[string]float64,
 			rank[i] = nv
 		}
 		if delta < tol {
-			return g.rankMap(rank), iter, nil
+			return rank, iter, nil
 		}
 	}
-	return g.rankMap(rank), maxIter, nil
-}
-
-func (g *Graph) rankMap(rank []float64) map[string]float64 {
-	out := make(map[string]float64, len(rank))
-	for i, r := range rank {
-		out[g.verts.Key(i)] = r
-	}
-	return out
+	return rank, maxIter, nil
 }

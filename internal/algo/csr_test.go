@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -279,5 +280,54 @@ func TestCSRGraphErrors(t *testing.T) {
 	}
 	if _, _, err := g.PageRank(1.5, 1e-9, 10); err == nil {
 		t.Error("out-of-range damping accepted")
+	}
+}
+
+// The dense forms index their results by vertex id: entry i belongs to
+// Vertices().Key(i), unreached vertices are -1 (BFS) or absent from has
+// (SSSP, WidestPath), and an unknown source wraps ErrNotVertex.
+func TestDenseFormsIndexByVertexID(t *testing.T) {
+	adj := assoc.FromTriples([]assoc.Triple[float64]{
+		{Row: "b", Col: "c", Val: 2},
+		{Row: "c", Col: "a", Val: 5},
+		{Row: "d", Col: "b", Val: 1},
+	}, nil)
+	g, err := FromArray(adj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := g.Vertices().Keys(); fmt.Sprint(got) != "[a b c d]" {
+		t.Fatalf("vertices = %q", got)
+	}
+	level, err := g.BFSLevelsDense("b")
+	if err != nil || fmt.Sprint(level) != "[2 0 1 -1]" {
+		t.Fatalf("BFSLevelsDense(b) = %v, %v", level, err)
+	}
+	dist, has, err := g.SSSPDense("b")
+	if err != nil || fmt.Sprint(has) != "[true true true false]" || dist[0] != 7 || dist[1] != 0 || dist[2] != 2 {
+		t.Fatalf("SSSPDense(b) = %v %v, %v", dist, has, err)
+	}
+	width, has, err := g.WidestPathDense("b")
+	if err != nil || fmt.Sprint(has) != "[true true true false]" || width[0] != 2 || width[1] != value.PosInf || width[2] != 2 {
+		t.Fatalf("WidestPathDense(b) = %v %v, %v", width, has, err)
+	}
+	rank, iters, err := g.PageRankDense(0.85, 1e-12, 100)
+	if err != nil || len(rank) != 4 || iters < 1 {
+		t.Fatalf("PageRankDense = %v %d, %v", rank, iters, err)
+	}
+	ranks, _, _ := g.PageRank(0.85, 1e-12, 100)
+	for i, r := range rank {
+		if ranks[g.Vertices().Key(i)] != r {
+			t.Fatalf("PageRank map disagrees with the dense form at %q", g.Vertices().Key(i))
+		}
+	}
+	for name, run := range map[string]func() error{
+		"bfs":    func() error { _, err := g.BFSLevelsDense("zz"); return err },
+		"sssp":   func() error { _, _, err := g.SSSPDense("zz"); return err },
+		"widest": func() error { _, _, err := g.WidestPathDense("zz"); return err },
+	} {
+		if err := run(); !errors.Is(err, ErrNotVertex) {
+			t.Errorf("%s from unknown source: %v, want ErrNotVertex", name, err)
+		}
 	}
 }

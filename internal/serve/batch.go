@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"strconv"
 
 	"adjarray/internal/algo"
 	"adjarray/internal/assoc"
@@ -44,9 +46,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req batchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeStrict(w, r, maxBatchBody, &req); err != nil {
 		http.Error(w, "bad batch request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -75,19 +75,43 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return g, err
 	}
 
-	results := make([]map[string]any, len(req.Ops))
-	for i, op := range req.Ops {
-		res, err := s.execOp(op, adj, graph)
-		if err != nil {
-			results[i] = map[string]any{"op": op.Op, "error": err.Error(), "status": opStatus(err)}
-			continue
+	s.respond(w, func(b []byte) []byte {
+		b = append(b, `{"count":`...)
+		b = strconv.AppendInt(b, int64(len(req.Ops)), 10)
+		b = appendEpochs(append(b, ','), epochs)
+		b = append(b, `,"exact":`...)
+		b = append(strconv.AppendBool(b, exact), `,"results":[`...)
+		for i, op := range req.Ops {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			var err error
+			if b, err = s.execOp(b, op, adj, graph); err != nil {
+				b = append(b, `{"error":`...)
+				b = appendString(b, err.Error())
+				b = append(b, `,"op":`...)
+				b = appendString(b, op.Op)
+				b = append(b, `,"status":`...)
+				b = append(strconv.AppendInt(b, int64(opStatus(err)), 10), '}')
+			}
 		}
-		res["op"] = op.Op
-		results[i] = res
+		return append(b, "]}"...)
+	})
+}
+
+// decodeStrict decodes the request body, bounded to limit bytes, as
+// exactly one JSON value into v: unknown fields and anything but
+// whitespace after the value are errors.
+func decodeStrict(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
 	}
-	s.writeJSON(w, epochFields(map[string]any{
-		"results": results, "count": len(results), "exact": exact,
-	}, epochs))
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
 }
 
 // errBadOp marks client-side op validation failures (400, not 422).
@@ -108,93 +132,102 @@ func opStatus(err error) int {
 	}
 }
 
-// execOp answers one batch op from the shared pinned snapshot.
-func (s *Server) execOp(op batchOp, adj *assoc.Array[float64], graph func() (*algo.Graph, error)) (map[string]any, error) {
+// execOp answers one batch op from the shared pinned snapshot,
+// appending its result object to b. On error b comes back unchanged.
+func (s *Server) execOp(b []byte, op batchOp, adj *assoc.Array[float64], graph func() (*algo.Graph, error)) ([]byte, error) {
 	switch op.Op {
 	case "at":
 		if op.Src == "" || op.Dst == "" {
-			return nil, badOp("at wants src and dst")
+			return b, badOp("at wants src and dst")
 		}
 		val, stored := adj.At(op.Src, op.Dst)
-		return map[string]any{"src": op.Src, "dst": op.Dst, "value": safeFloat(val), "stored": stored}, nil
+		b = append(b, `{"dst":`...)
+		b = appendString(b, op.Dst)
+		b = append(b, `,"op":"at",`...)
+		return appendAtTail(b, op.Src, val, stored), nil
 	case "row":
 		if op.Src == "" {
-			return nil, badOp("row wants src")
+			return b, badOp("row wants src")
 		}
-		return map[string]any{"src": op.Src, "row": rowEntries(adj, op.Src)}, nil
-	case "bfs":
+		return appendRowTail(append(b, `{"op":"row",`...), adj, op.Src), nil
+	case "bfs", "sssp", "widest":
 		if op.Src == "" {
-			return nil, badOp("bfs wants src")
+			return b, badOp("%s wants src", op.Op)
 		}
-		g, err := graph()
-		if err != nil {
-			return nil, err
-		}
-		levels, err := g.BFSLevels(op.Src)
-		if err != nil {
-			return nil, err
-		}
-		return map[string]any{"result": levels}, nil
-	case "sssp":
-		if op.Src == "" {
-			return nil, badOp("sssp wants src")
-		}
-		g, err := graph()
-		if err != nil {
-			return nil, err
-		}
-		dist, err := g.SSSP(op.Src)
-		if err != nil {
-			return nil, err
-		}
-		return map[string]any{"result": safeFloatMap(dist)}, nil
-	case "widest":
-		if op.Src == "" {
-			return nil, badOp("widest wants src")
-		}
-		g, err := graph()
-		if err != nil {
-			return nil, err
-		}
-		width, err := g.WidestPath(op.Src)
-		if err != nil {
-			return nil, err
-		}
-		return map[string]any{"result": safeFloatMap(width)}, nil
 	case "pagerank":
-		damping, tol, iters := 0.85, 1e-9, 100
-		if op.Damping != nil {
-			damping = *op.Damping
+		if err := s.pageRankParams(op.pageRank()); err != nil {
+			return b, badOp("%s", err)
 		}
-		if op.Tol != nil {
-			tol = *op.Tol
-		}
-		if op.Iters != nil {
-			iters = *op.Iters
-		}
-		if err := s.pageRankParams(damping, tol, iters); err != nil {
-			return nil, badOp("%s", err)
-		}
-		g, err := graph()
-		if err != nil {
-			return nil, err
-		}
-		rank, used, err := g.PageRank(damping, tol, iters)
-		if err != nil {
-			return nil, err
-		}
-		return map[string]any{"result": map[string]any{"rank": rank, "iterations": used}}, nil
 	case "triangles":
-		g, err := graph()
+	default:
+		return b, badOp("unknown op %q (want at, row, bfs, sssp, widest, pagerank, or triangles)", op.Op)
+	}
+	g, err := graph()
+	if err != nil {
+		return b, err
+	}
+	res, err := runAlgo(g, op)
+	if err != nil {
+		return b, err
+	}
+	b = append(b, `{"op":`...)
+	b = append(appendString(b, op.Op), `,"result":`...)
+	return append(res(b), '}'), nil
+}
+
+// pageRank resolves the op's PageRank parameters, filling the endpoint
+// defaults for omitted ones.
+func (op batchOp) pageRank() (damping, tol float64, iters int) {
+	damping, tol, iters = 0.85, 1e-9, 100
+	if op.Damping != nil {
+		damping = *op.Damping
+	}
+	if op.Tol != nil {
+		tol = *op.Tol
+	}
+	if op.Iters != nil {
+		iters = *op.Iters
+	}
+	return damping, tol, iters
+}
+
+// runAlgo runs one validated algorithm op (bfs, sssp, widest, pagerank
+// or triangles) on g and returns the writer of its answer, the value of
+// the response's "result" field.
+func runAlgo(g *algo.Graph, op batchOp) (func(b []byte) []byte, error) {
+	verts := g.Vertices()
+	switch op.Op {
+	case "bfs":
+		level, err := g.BFSLevelsDense(op.Src)
 		if err != nil {
 			return nil, err
 		}
+		return func(b []byte) []byte { return appendLevels(b, verts, level) }, nil
+	case "sssp", "widest":
+		run := g.SSSPDense
+		if op.Op == "widest" {
+			run = g.WidestPathDense
+		}
+		val, has, err := run(op.Src)
+		if err != nil {
+			return nil, err
+		}
+		return func(b []byte) []byte { return appendVector(b, verts, val, has) }, nil
+	case "pagerank":
+		rank, used, err := g.PageRankDense(op.pageRank())
+		if err != nil {
+			return nil, err
+		}
+		return func(b []byte) []byte {
+			b = append(b, `{"iterations":`...)
+			b = append(strconv.AppendInt(b, int64(used), 10), `,"rank":`...)
+			return append(appendVector(b, verts, rank, nil), '}')
+		}, nil
+	default: // triangles
 		n, err := g.TriangleCount()
 		if err != nil {
 			return nil, err
 		}
-		return map[string]any{"result": n}, nil
-	default:
-		return nil, badOp("unknown op %q (want at, row, bfs, sssp, widest, pagerank, or triangles)", op.Op)
+		return func(b []byte) []byte { return strconv.AppendInt(b, int64(n), 10) }, nil
 	}
 }

@@ -87,6 +87,8 @@ func TestBatchRequestValidation(t *testing.T) {
 		"unknown field": `{"ops":[],"nope":1}`,
 		"no ops":        `{"ops":[]}`,
 		"null ops":      `{}`,
+		"trailing data": `{"ops":[{"op":"at","src":"a","dst":"b"}]} trailing garbage`,
+		"second value":  `{"ops":[{"op":"at","src":"a","dst":"b"}]}{}`,
 	} {
 		if code, _ := postBatch(t, s, body); code != http.StatusBadRequest {
 			t.Errorf("%s = %d, want 400", name, code)

@@ -132,9 +132,13 @@ func TestIngestEndpointValidation(t *testing.T) {
 	}
 
 	for body, want := range map[string]int{
-		`{"edges":[]}`:            http.StatusBadRequest,
-		`not json`:                http.StatusBadRequest,
-		`{"edges":[{"src":"a"}]}`: http.StatusBadRequest,
+		`{"edges":[]}`:                                   http.StatusBadRequest,
+		`not json`:                                       http.StatusBadRequest,
+		`{"edges":[{"src":"a"}]}`:                        http.StatusBadRequest,
+		`{"edges":[{"src":"a","dst":"b"}]} xyz`:          http.StatusBadRequest,
+		`{"edges":[{"src":"a","dst":"b"}]}{}`:            http.StatusBadRequest,
+		`{"edges":[{"src":"a","dst":"c","weight":5}]}`:   http.StatusBadRequest,
+		`{"edges":[{"src":"a","dst":"b"}],"extra":true}`: http.StatusBadRequest,
 		`{"edges":[{"src":"a","dst":"b"},{"src":"b","dst":"c"},{"src":"c","dst":"d"}]}`: http.StatusRequestEntityTooLarge,
 	} {
 		if code, _, _ := postIngest(t, s, body); code != want {
@@ -143,6 +147,11 @@ func TestIngestEndpointValidation(t *testing.T) {
 	}
 	if snap, err := ing.Snapshot(); err != nil || snap.Adjacency.NNZ() != 0 {
 		t.Fatalf("refused batches must not touch the view: nnz %d err %v", snap.Adjacency.NNZ(), err)
+	}
+
+	// Whitespace after the object is not trailing data.
+	if code, _, resp := postIngest(t, s, "{\"edges\":[{\"src\":\"p\",\"dst\":\"q\"}]}\n "); code != http.StatusOK || resp["appended"] != float64(1) {
+		t.Fatalf("append with trailing whitespace: code %d resp %v", code, resp)
 	}
 
 	// An explicitly weighted zero annihilates (stored=false) but is

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -49,8 +48,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Edges []ingestEdge `json:"edges"`
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxIngestBody)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeStrict(w, r, maxIngestBody, &req); err != nil {
 		http.Error(w, "decode request: "+err.Error(), http.StatusBadRequest)
 		return
 	}

@@ -21,17 +21,19 @@
 //     keeps answering from the last good snapshot. /healthz reports the
 //     ok → degraded → read-only state machine and /metrics exposes it
 //     as adjserve_storage_state / adjserve_storage_faults_total.
+//   - Response writing: the query endpoints append their bodies with
+//     the writer in wire.go, walking results in vertex-id order; the
+//     bytes are exactly what encoding/json would print for the
+//     equivalent maps, with ±Inf and NaN as value.FormatFloat strings.
 //
 // Every response carries the epoch vector its snapshot was pinned at,
 // so clients can order reads across shards.
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"runtime"
 	"slices"
@@ -42,9 +44,7 @@ import (
 	"adjarray/internal/algo"
 	"adjarray/internal/assoc"
 	"adjarray/internal/core"
-	"adjarray/internal/keys"
 	"adjarray/internal/obs"
-	"adjarray/internal/value"
 )
 
 // Options tunes the front door. The zero value selects production
@@ -131,7 +131,7 @@ type Server struct {
 	met      *metrics
 	readPool *pool
 	algoPool *pool
-	buffers  sync.Pool // *bytes.Buffer for single-write JSON responses
+	buffers  sync.Pool // *[]byte for single-write query responses
 }
 
 // New builds the front door over ing.
@@ -142,7 +142,7 @@ func New(ing *core.Ingest, opt Options) *Server {
 		opt: opt,
 		mux: http.NewServeMux(),
 	}
-	s.buffers.New = func() any { return new(bytes.Buffer) }
+	s.buffers.New = func() any { return new([]byte) }
 	s.met = newMetrics(opt.Registry, ing)
 	s.cache = &graphCache{met: s.met}
 	s.readPool = newPool("read", opt.ReadWorkers, opt.ReadQueue, opt.RetryAfter, s.met)
@@ -179,70 +179,32 @@ func (s *Server) routes() {
 	handle("/at", s.readPool, s.handleAt)
 	handle("/row", s.readPool, s.handleRow)
 	handle("/triples", s.readPool, s.handleTriples)
-	handle("/bfs", s.algoPool, s.sourceQuery(func(g *algo.Graph, src string) (any, error) {
-		return g.BFSLevels(src)
-	}))
-	handle("/sssp", s.algoPool, s.sourceQuery(func(g *algo.Graph, src string) (any, error) {
-		dist, err := g.SSSP(src)
-		if err != nil {
-			return nil, err
-		}
-		return safeFloatMap(dist), nil
-	}))
-	handle("/widest", s.algoPool, s.sourceQuery(func(g *algo.Graph, src string) (any, error) {
-		width, err := g.WidestPath(src)
-		if err != nil {
-			return nil, err
-		}
-		return safeFloatMap(width), nil
-	}))
+	handle("/bfs", s.algoPool, s.sourceQuery("bfs"))
+	handle("/sssp", s.algoPool, s.sourceQuery("sssp"))
+	handle("/widest", s.algoPool, s.sourceQuery("widest"))
 	handle("/triangles", s.algoPool, func(w http.ResponseWriter, r *http.Request) {
-		s.algoQuery(w, func(g *algo.Graph) (any, error) { return g.TriangleCount() })
+		s.algoQuery(w, batchOp{Op: "triangles"})
 	})
 	handle("/pagerank", s.algoPool, s.handlePageRank)
 	handle("/batch", s.algoPool, s.handleBatch)
 }
 
-// writeJSON encodes v into a pooled buffer and writes the response in
-// one shot with an explicit Content-Length. Encoding into the buffer
-// first means an encode failure still has the full status line
-// available — the old streaming encoder could fail after headers and
-// half the body were on the wire, and its follow-up http.Error then
-// corrupted the response with a "superfluous WriteHeader" on top of
-// broken JSON. A failed network write is the client's disconnect; it
-// is counted, not retried.
+// writeJSON encodes the struct-shaped admin bodies (/stats, /healthz,
+// the /ingest ack) with encoding/json and writes the response in one
+// shot. Encoding completes before anything is written, so an encode
+// failure still has the full status line available — a streaming
+// encoder could fail after headers and half the body were on the wire,
+// and its follow-up http.Error then corrupted the response with a
+// "superfluous WriteHeader" on top of broken JSON. The query endpoints
+// use the append writers in wire.go instead.
 func (s *Server) writeJSON(w http.ResponseWriter, v any) {
-	buf := s.buffers.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer s.buffers.Put(buf)
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
+	body, err := json.Marshal(v)
+	if err != nil {
 		s.met.encodeErrors.Inc()
 		http.Error(w, "encode response: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	if _, err := w.Write(buf.Bytes()); err != nil {
-		s.met.writeErrors.Inc()
-	}
-}
-
-// safeFloat renders ±Inf/NaN with the library's FormatFloat convention;
-// JSON has no encoding for them but the tropical algebras store them as
-// ordinary values (an unweighted max.min edge is width +Inf).
-func safeFloat(v float64) any {
-	if math.IsInf(v, 0) || math.IsNaN(v) {
-		return value.FormatFloat(v)
-	}
-	return v
-}
-
-func safeFloatMap(m map[string]float64) map[string]any {
-	out := make(map[string]any, len(m))
-	for k, v := range m {
-		out[k] = safeFloat(v)
-	}
-	return out
+	s.send(w, append(body, '\n'))
 }
 
 // takeSnapshot pins one consistent read: the adjacency plus the epoch
@@ -284,21 +246,6 @@ func (s *Server) snapshot(w http.ResponseWriter) (*assoc.Array[float64], []int, 
 		return nil, nil, false, false
 	}
 	return adj, epochs, exact, true
-}
-
-// epochFields stamps a response with its consistency token: the pinned
-// epoch vector plus the scalar sum (a single scalar for clients that
-// only order responses; the vector is the token queries were answered
-// at — every field of one response reflects shard i at exactly
-// epochs[i]).
-func epochFields(m map[string]any, epochs []int) map[string]any {
-	sum := 0
-	for _, e := range epochs {
-		sum += e
-	}
-	m["epoch"] = sum
-	m["epochs"] = epochs
-	return m
 }
 
 // ---- graph cache ----
@@ -437,7 +384,12 @@ func (s *Server) handleAt(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	val, stored := adj.At(src, dst)
-	s.writeJSON(w, epochFields(map[string]any{"src": src, "dst": dst, "value": safeFloat(val), "stored": stored}, epochs))
+	s.respond(w, func(b []byte) []byte {
+		b = append(b, `{"dst":`...)
+		b = append(appendString(b, dst), ',')
+		b = append(appendEpochs(b, epochs), ',')
+		return appendAtTail(b, src, val, stored)
+	})
 }
 
 func (s *Server) handleRow(w http.ResponseWriter, r *http.Request) {
@@ -450,15 +402,10 @@ func (s *Server) handleRow(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.writeJSON(w, epochFields(map[string]any{"src": src, "row": rowEntries(adj, src)}, epochs))
-}
-
-func rowEntries(adj *assoc.Array[float64], src string) map[string]any {
-	row := map[string]any{}
-	adj.SubRef(keys.Range{Lo: src, Hi: src}, nil).Iterate(func(_, d string, v float64) {
-		row[d] = safeFloat(v)
+	s.respond(w, func(b []byte) []byte {
+		b = append(appendEpochs(append(b, '{'), epochs), ',')
+		return appendRowTail(b, adj, src)
 	})
-	return row
 }
 
 func (s *Server) handleTriples(w http.ResponseWriter, r *http.Request) {
@@ -478,24 +425,41 @@ func (s *Server) handleTriples(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	total := adj.NNZ()
-	// IterateUntil stops at the limit, so ?limit=1 on a large graph is
-	// O(1) per request, not an O(nnz) sweep; memory is O(limit) too.
-	rows := make([]map[string]any, 0, min(limit, total))
-	adj.IterateUntil(func(rk, ck string, v float64) bool {
-		rows = append(rows, map[string]any{"row": rk, "col": ck, "val": safeFloat(v)})
-		return len(rows) < limit
+	s.respond(w, func(b []byte) []byte {
+		b = appendEpochs(append(b, '{'), epochs)
+		b = append(b, `,"exact":`...)
+		b = strconv.AppendBool(b, exact)
+		b = append(b, `,"limit":`...)
+		b = strconv.AppendInt(b, int64(limit), 10)
+		b = append(b, `,"total":`...)
+		b = strconv.AppendInt(b, int64(total), 10)
+		b = append(b, `,"triples":[`...)
+		// IterateUntil stops at the limit, so ?limit=1 on a large graph
+		// is O(1) per request, not an O(nnz) sweep.
+		n := 0
+		adj.IterateUntil(func(rk, ck string, v float64) bool {
+			if n > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"col":`...)
+			b = appendString(b, ck)
+			b = append(b, `,"row":`...)
+			b = appendString(b, rk)
+			b = append(b, `,"val":`...)
+			b = append(appendFloat(b, v), '}')
+			n++
+			return n < limit
+		})
+		b = append(b, `],"truncated":`...)
+		return append(strconv.AppendBool(b, total > n), '}')
 	})
-	s.writeJSON(w, epochFields(map[string]any{
-		"triples": rows, "total": total, "limit": limit,
-		"truncated": total > len(rows), "exact": exact,
-	}, epochs))
 }
 
-// algoQuery runs compute against the per-epoch-vector cached Graph. A
-// source that is not a vertex is the client's error (404); an
-// algorithm refusing the instance (asymmetric triangles, no fixpoint)
-// is 422.
-func (s *Server) algoQuery(w http.ResponseWriter, compute func(g *algo.Graph) (any, error)) {
+// algoQuery answers one algorithm op against the per-epoch-vector
+// cached Graph. A source that is not a vertex is the client's error
+// (404); an algorithm refusing the instance (asymmetric triangles, no
+// fixpoint) is 422.
+func (s *Server) algoQuery(w http.ResponseWriter, op batchOp) {
 	adj, epochs, exact, ok := s.snapshot(w)
 	if !ok {
 		return
@@ -505,7 +469,7 @@ func (s *Server) algoQuery(w http.ResponseWriter, compute func(g *algo.Graph) (a
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	res, err := compute(g)
+	res, err := runAlgo(g, op)
 	if err != nil {
 		status := http.StatusUnprocessableEntity
 		if errors.Is(err, algo.ErrNotVertex) {
@@ -514,17 +478,22 @@ func (s *Server) algoQuery(w http.ResponseWriter, compute func(g *algo.Graph) (a
 		http.Error(w, err.Error(), status)
 		return
 	}
-	s.writeJSON(w, epochFields(map[string]any{"result": res, "exact": exact}, epochs))
+	s.respond(w, func(b []byte) []byte {
+		b = appendEpochs(append(b, '{'), epochs)
+		b = append(b, `,"exact":`...)
+		b = append(strconv.AppendBool(b, exact), `,"result":`...)
+		return append(res(b), '}')
+	})
 }
 
-func (s *Server) sourceQuery(run func(g *algo.Graph, src string) (any, error)) http.HandlerFunc {
+func (s *Server) sourceQuery(op string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		src := r.URL.Query().Get("src")
 		if src == "" {
 			http.Error(w, "want ?src=...", http.StatusBadRequest)
 			return
 		}
-		s.algoQuery(w, func(g *algo.Graph) (any, error) { return run(g, src) })
+		s.algoQuery(w, batchOp{Op: op, Src: src})
 	}
 }
 
@@ -574,11 +543,5 @@ func (s *Server) handlePageRank(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s.algoQuery(w, func(g *algo.Graph) (any, error) {
-		rank, used, err := g.PageRank(damping, tol, iters)
-		if err != nil {
-			return nil, err
-		}
-		return map[string]any{"rank": rank, "iterations": used}, nil
-	})
+	s.algoQuery(w, batchOp{Op: "pagerank", Damping: &damping, Tol: &tol, Iters: &iters})
 }

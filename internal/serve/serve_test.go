@@ -299,6 +299,15 @@ func TestWriteJSONSingleWrite(t *testing.T) {
 	if s.met.encodeErrors.Value() != 1 {
 		t.Fatalf("encode error counter = %d, want 1", s.met.encodeErrors.Value())
 	}
+
+	// The query endpoints' append writer keeps the property: the whole
+	// body, newline included, goes out in one Write with its length.
+	wc := &writeCounter{ResponseRecorder: httptest.NewRecorder()}
+	s.respond(wc, func(b []byte) []byte { return append(b, `{"x":1}`...) })
+	if wc.Code != 200 || wc.writes != 1 || wc.Body.String() != "{\"x\":1}\n" || wc.Header().Get("Content-Length") != "8" {
+		t.Fatalf("respond: code %d, %d writes, body %q, Content-Length %q",
+			wc.Code, wc.writes, wc.Body.String(), wc.Header().Get("Content-Length"))
+	}
 }
 
 // Regression (bugfix 1, deterministic half): a request that pinned an
