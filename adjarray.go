@@ -276,9 +276,10 @@ type ShardedStreamOptions = stream.ShardedOptions
 // ShardedAdjacencyView hash-partitions the ingested vertex space across
 // goroutine-shards, each owning its own AdjacencyView, so concurrent
 // appends to different shards never contend. Snapshot pins one
-// consistent epoch per shard and lazily ⊕-merges the per-shard
-// adjacencies — bit-identical to the single-view construction because
-// shards own disjoint adjacency rows.
+// consistent epoch per shard and lazily gathers the per-shard
+// adjacencies in one pass — each shard's rows copied into place, no ⊕ —
+// bit-identical to the single-view construction because shards own
+// disjoint adjacency rows.
 type ShardedAdjacencyView[V any] = stream.ShardedView[V]
 
 // ShardedAdjacencySnapshot is an immutable scatter-gather read view

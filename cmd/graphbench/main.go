@@ -615,8 +615,8 @@ func main() {
 	//   - "sharded_append": mean per-batch wall time across the
 	//     producers (aggregate throughput is its inverse);
 	//   - "sharded_materialize": one scatter-gather fold — every shard's
-	//     backlog materialized and the per-shard adjacencies ⊕-merged
-	//     into the gathered snapshot.
+	//     backlog materialized and the per-shard adjacencies gathered
+	//     into one snapshot.
 	runShard := func(name string, g *graph.Graph, deltas int, counts []int) {
 		es := g.Edges()
 		per := len(es) / 100
@@ -705,7 +705,7 @@ func main() {
 			emit(name, V, edges, "sharded_append", n, nnz, appendBest)
 
 			// Materialize: the whole backlog queues (unbounded budget),
-			// then one gather folds every shard and ⊕-merges.
+			// then one snapshot folds every shard and gathers them.
 			var matBest measure
 			for rep := 0; rep < *reps || rep == 0; rep++ {
 				sv := stream.NewShardedView(entry.Ops, stream.ShardedOptions{

@@ -47,9 +47,10 @@
 //   - goroutine-sharded ingest: ShardedAdjacencyView hash-partitions
 //     the vertex space by source across N shards (per-shard views,
 //     append locks, and — durable — WAL/checkpoint directories), with
-//     snapshots pinned to a per-shard epoch vector and lazily ⊕-merged
-//     at gather time, bit-identical to the single-view path because
-//     shards own disjoint adjacency rows;
+//     snapshots pinned to a per-shard epoch vector and gathered lazily
+//     in one pass that block-copies each shard's rows into place,
+//     bit-identical to the single-view path because shards own
+//     disjoint adjacency rows;
 //   - production serving: internal/serve is cmd/adjserve's front door —
 //     Prometheus-style GET /metrics (dependency-free internal/obs),
 //     bounded admission pools per endpoint class shedding overload as

@@ -222,3 +222,37 @@ func (a *Array[V]) EmbedInto(rows, cols *keys.Set) (*Array[V], error) {
 	}
 	return &Array[V]{rows: rows, cols: cols, mat: m}, nil
 }
+
+// Gather combines k parts into one array over unions of their key
+// sets: rows.Of[p] and cols.Of[p] must hold part p's row and column
+// keys, so one union can serve several gathers (a sharded snapshot
+// shares its vertex unions between the adjacency and the incidence
+// logs, and its edge-key union between Eout and Ein).
+//
+// Parts are expected to store disjoint rows — source-routed shards own
+// disjoint adjacency rows, and globally unique edge keys disjoint log
+// rows — in which case each part's rows are block-copied into place and
+// ⊕ never fires. A row stored by several parts (a key that broke the
+// uniqueness precondition) is ⊕-combined in ascending part order,
+// bit-identical to the left fold Add(…Add(parts[0], parts[1])…). A
+// single part is returned as-is.
+func Gather[V any](parts []*Array[V], rows, cols *keys.Union, ops semiring.Ops[V]) (*Array[V], error) {
+	if len(rows.Of) != len(parts) || len(cols.Of) != len(parts) {
+		return nil, fmt.Errorf("assoc: Gather of %d parts over unions of %d row and %d column sets", len(parts), len(rows.Of), len(cols.Of))
+	}
+	mats := make([]*sparse.CSR[V], len(parts))
+	for p, a := range parts {
+		if !a.rows.Equal(rows.Of[p]) || !a.cols.Equal(cols.Of[p]) {
+			return nil, fmt.Errorf("assoc: Gather part %d key sets differ from the unions' inputs", p)
+		}
+		mats[p] = a.mat
+	}
+	if len(parts) == 1 {
+		return parts[0], nil
+	}
+	m, err := sparse.GatherRows(mats, rows.Pos, cols.Pos, rows.Set.Len(), cols.Set.Len(), rows.Shared, ops)
+	if err != nil {
+		return nil, fmt.Errorf("assoc: Gather: %w", err)
+	}
+	return &Array[V]{rows: rows.Set, cols: cols.Set, mat: m}, nil
+}

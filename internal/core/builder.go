@@ -11,6 +11,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"adjarray/internal/assoc"
@@ -167,18 +168,32 @@ func workersOrAll(w int) int {
 
 // appendDataValues extends sample with up to max distinct values stored
 // in a, so condition checks cover the data actually being multiplied.
+// Values are scanned in storage order (Iterate's order) and compared
+// with ==, so -0 matches +0 and a NaN never matches; the scan stops once
+// max distinct values are known.
 func appendDataValues(sample []float64, a *assoc.Array[float64], max int) []float64 {
-	seen := make(map[float64]bool, len(sample))
-	for _, v := range sample {
-		seen[v] = true
-	}
-	a.Iterate(func(_, _ string, v float64) {
-		if len(seen) >= max || seen[v] {
-			return
+	seen := make([]float64, 0, max)
+	note := func(v float64) bool {
+		if slices.Contains(seen, v) {
+			return false
 		}
-		seen[v] = true
-		sample = append(sample, v)
-	})
+		seen = append(seen, v)
+		return true
+	}
+	for _, v := range sample {
+		if len(seen) >= max {
+			return sample
+		}
+		note(v)
+	}
+	for _, v := range a.Matrix().Values() {
+		if len(seen) >= max {
+			break
+		}
+		if note(v) {
+			sample = append(sample, v)
+		}
+	}
 	return sample
 }
 

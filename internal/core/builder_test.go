@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -172,5 +175,65 @@ func TestBuildChecksDataValuesNotJustCanonicalSample(t *testing.T) {
 	}
 	if res2.Adjacency.NNZ() != 0 {
 		t.Error("cancellation should have emptied the product")
+	}
+}
+
+// appendDataValuesMap is the map-based sample builder appendDataValues
+// replaced, kept as its reference.
+func appendDataValuesMap(sample []float64, a *assoc.Array[float64], max int) []float64 {
+	seen := make(map[float64]bool, len(sample))
+	for _, v := range sample {
+		seen[v] = true
+	}
+	a.Iterate(func(_, _ string, v float64) {
+		if len(seen) >= max || seen[v] {
+			return
+		}
+		seen[v] = true
+		sample = append(sample, v)
+	})
+	return sample
+}
+
+// The slice-scan sample equals the map-based one bit for bit: same
+// order, NaN never equal to a seen value, -0 == +0, duplicates in the
+// canonical sample collapsed, and the cap honoured past 64 distinct
+// values.
+func TestAppendDataValuesMatchesMapSample(t *testing.T) {
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	arrays := map[string][]float64{
+		"specials": {1, nan, negZero, 0, 2, nan, 1, math.Inf(1), negZero, 3},
+		"unit":     {1, 1, 1, 1},
+		"many":     nil,
+		"empty":    nil,
+	}
+	for i := 0; i < 150; i++ {
+		arrays["many"] = append(arrays["many"], float64(i%97), negZero)
+	}
+	samples := [][]float64{
+		nil,
+		{0, 1, 1, nan, negZero},
+		{nan, nan, math.Inf(-1), 0},
+	}
+	big := make([]float64, 70)
+	for i := range big {
+		big[i] = float64(-i)
+	}
+	samples = append(samples[:3], big, big[:63])
+	for name, vals := range arrays {
+		ts := make([]assoc.Triple[float64], len(vals))
+		for i, v := range vals {
+			ts[i] = assoc.Triple[float64]{Row: fmt.Sprintf("r%04d", i/5), Col: fmt.Sprintf("c%d", i%5), Val: v}
+		}
+		a := assoc.FromTriples(ts, nil)
+		for _, max := range []int{0, 3, 64} {
+			for si, s := range samples {
+				got := appendDataValues(slices.Clone(s), a, max)
+				want := appendDataValuesMap(slices.Clone(s), a, max)
+				if !slices.EqualFunc(got, want, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+					t.Errorf("%s, sample %d, max %d: got %v, want %v", name, si, max, got, want)
+				}
+			}
+		}
 	}
 }

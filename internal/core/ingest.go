@@ -182,8 +182,9 @@ func (in *Ingest) StorageHealth() (stream.StorageHealth, []stream.StorageHealth)
 // Snapshot flushes and returns a consistent read view including every
 // edge Add-ed so far. For a sharded ingest this is the flattened
 // scatter-gather snapshot: per-shard epochs pinned as one vector, the
-// merged adjacency and incidence logs, and Epoch the sum of the vector;
-// use Sharded().Snapshot() directly when the vector itself is needed.
+// adjacency and incidence logs gathered in one pass (each shard's rows
+// copied into place), and Epoch the sum of the vector; use
+// Sharded().Snapshot() directly when the vector itself is needed.
 func (in *Ingest) Snapshot() (stream.Snapshot[float64], error) {
 	if err := in.Flush(); err != nil {
 		return stream.Snapshot[float64]{}, err

@@ -1,6 +1,7 @@
 package keys
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -50,5 +51,38 @@ func FuzzParse(f *testing.F) {
 				t.Fatalf("key %q Matches but was not selected", k)
 			}
 		}
+	})
+}
+
+// FuzzUnionK checks the k-way union against the UnionOffsets fold on
+// arbitrary inputs: byte pairs pick a set and a key; a third of the
+// keys carry a per-set prefix so block runs and interleaved keys mix,
+// and a third share their first eight bytes.
+func FuzzUnionK(f *testing.F) {
+	f.Add([]byte{3, 0, 1, 1, 2, 2, 3, 0, 3})
+	f.Add([]byte{8, 0, 0, 1, 0, 2, 0, 7, 255})
+	f.Add([]byte{2, 0, 9, 0, 10, 1, 9, 1, 11})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		k := 1 + int(data[0])%8
+		keys := make([][]string, k)
+		for i := 1; i+1 < len(data); i += 2 {
+			p, b := int(data[i])%k, data[i+1]
+			key := fmt.Sprintf("v%02x", b%48)
+			switch b % 3 {
+			case 0:
+				key = fmt.Sprintf("s%03d-%02x", p, b)
+			case 1:
+				key = "vertex-0" + key[:b%4] // ties on the first eight bytes
+			}
+			keys[p] = append(keys[p], key)
+		}
+		sets := make([]*Set, k)
+		for p := range sets {
+			sets[p] = New(keys[p]...)
+		}
+		checkUnionK(t, sets)
 	})
 }

@@ -1,6 +1,9 @@
 package keys
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Growth entry points for append-only key logs and delta-batch merges.
 //
@@ -110,6 +113,171 @@ func (s *Set) UnionOffsets(t *Set) (u *Set, sPos, tPos []int) {
 		sPos = nil
 	}
 	return fromSortedUnique(out), sPos, tPos
+}
+
+// Union is the ordered union of k key sets together with where each
+// input's keys landed in it.
+type Union struct {
+	// Set is the union.
+	Set *Set
+	// Of holds the inputs, in order.
+	Of []*Set
+	// Pos[p][i] is the index in Set of Of[p].Key(i). Each map is
+	// strictly increasing; nil means the identity.
+	Pos [][]int
+	// Shared reports whether some key occurs in more than one input.
+	Shared bool
+}
+
+// UnionK builds the Union of k sets by a k-way merge that gallops: each
+// step takes the input with the smallest head and copies, as one block,
+// the run of its keys that sort below the next smallest head (found by
+// exponential then binary search). Inputs that occupy disjoint key
+// ranges — the shard-prefixed auto edge keys of a sharded ingest —
+// therefore cost O(k) steps, not one per key. When at most one input is
+// non-empty its Set is the union as-is.
+func UnionK(sets ...*Set) *Union {
+	u := &Union{Of: sets, Pos: make([][]int, len(sets))}
+	nonEmpty, total := 0, 0
+	for _, s := range sets {
+		if len(s.keys) > 0 {
+			nonEmpty++
+			total += len(s.keys)
+			u.Set = s
+		}
+	}
+	switch nonEmpty {
+	case 0:
+		u.Set = fromSortedUnique(nil)
+		return u
+	case 1:
+		return u
+	}
+	// rest[n] holds the unconsumed keys of input live[n], and head[n]
+	// the first eight bytes of rest[n][0]: the head scan compares those
+	// integers and falls back to the strings only on a tie.
+	live := make([]int, 0, nonEmpty)
+	rest := make([][]string, 0, nonEmpty)
+	head := make([]uint64, 0, nonEmpty)
+	for p, s := range sets {
+		if len(s.keys) > 0 {
+			live = append(live, p)
+			rest = append(rest, s.keys)
+			head = append(head, prefix8(s.keys[0]))
+			u.Pos[p] = make([]int, len(s.keys))
+		}
+	}
+	out := make([]string, 0, total)
+	// advance consumes the next run keys of input n at output position
+	// at, reporting whether the input is exhausted.
+	advance := func(n, run, at int) bool {
+		p, ks := live[n], rest[n]
+		ps := u.Pos[p][len(sets[p].keys)-len(ks):]
+		for i := 0; i < run; i++ {
+			ps[i] = at + i
+		}
+		rest[n] = ks[run:]
+		if run == len(ks) {
+			return true
+		}
+		head[n] = prefix8(ks[run])
+		return false
+	}
+	for len(live) > 1 {
+		// m: the input with the smallest head; b: the next smallest.
+		m, b := 0, 1
+		if head[1] < head[0] || (head[1] == head[0] && rest[1][0] < rest[0][0]) {
+			m, b = 1, 0
+		}
+		for n := 2; n < len(rest); n++ {
+			if h := head[n]; h < head[b] || (h == head[b] && rest[n][0] < rest[b][0]) {
+				if h < head[m] || (h == head[m] && rest[n][0] < rest[m][0]) {
+					m, b = n, m
+				} else {
+					b = n
+				}
+			}
+		}
+		mk, bound := rest[m][0], rest[b][0]
+		exhausted := false
+		if head[m] == head[b] && mk == bound {
+			// A key held by several inputs: emit it once.
+			u.Shared = true
+			at := len(out)
+			out = append(out, mk)
+			for n, h := range head {
+				if n != m && h == head[m] && rest[n][0] == mk {
+					exhausted = advance(n, 1, at) || exhausted
+				}
+			}
+			exhausted = advance(m, 1, at) || exhausted
+		} else {
+			ks := rest[m]
+			run := gallop(ks, bound)
+			out = append(out, ks[:run]...)
+			exhausted = advance(m, run, len(out)-run)
+		}
+		if exhausted {
+			w := 0
+			for n, ks := range rest {
+				if len(ks) > 0 {
+					live[w], rest[w], head[w] = live[n], ks, head[n]
+					w++
+				}
+			}
+			live, rest, head = live[:w], rest[:w], head[:w]
+		}
+	}
+	if len(live) == 1 {
+		run := len(rest[0])
+		out = append(out, rest[0]...)
+		advance(0, run, len(out)-run)
+	}
+	for p, ps := range u.Pos {
+		if identity(ps) {
+			u.Pos[p] = nil
+		}
+	}
+	u.Set = fromSortedUnique(out)
+	return u
+}
+
+// prefix8 packs the first eight bytes of k big-endian, zero-padded:
+// prefix8(a) < prefix8(b) implies a < b, and only equal prefixes need
+// the string comparison.
+func prefix8(k string) uint64 {
+	var b [8]byte
+	copy(b[:], k)
+	return binary.BigEndian.Uint64(b[:])
+}
+
+// gallop returns the length of the run of leading keys of ks that sort
+// below bound, given that ks[0] does: a short linear probe, then
+// exponential probing to bracket the end and a binary search to settle
+// it — O(log run) comparisons for long runs.
+func gallop(ks []string, bound string) int {
+	lo := 1
+	for ; lo < len(ks) && lo < 4; lo++ {
+		if ks[lo] >= bound {
+			return lo
+		}
+	}
+	hi, step := lo, 1
+	for hi < len(ks) && ks[hi] < bound {
+		lo = hi + 1
+		hi += step
+		step *= 2
+	}
+	hi = min(hi, len(ks))
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ks[mid] < bound {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // PositionsIn returns, for each key of s, its index in super — or

@@ -154,3 +154,117 @@ func TestIndexSortedAgreesWithIndex(t *testing.T) {
 		}
 	}
 }
+
+// unionFold is UnionK's reference: a left fold of UnionOffsets, with
+// each input's positions composed through every later union step.
+func unionFold(sets []*Set) (*Set, [][]int, bool) {
+	u := New()
+	pos := make([][]int, len(sets))
+	total := 0
+	for p, s := range sets {
+		total += s.Len()
+		grown, uPos, sPos := u.UnionOffsets(s)
+		for q := 0; q < p; q++ {
+			if uPos != nil {
+				for i, x := range pos[q] {
+					pos[q][i] = uPos[x]
+				}
+			}
+		}
+		pos[p] = make([]int, s.Len())
+		for i := range pos[p] {
+			pos[p][i] = i
+			if sPos != nil {
+				pos[p][i] = sPos[i]
+			}
+		}
+		u = grown
+	}
+	return u, pos, total > u.Len()
+}
+
+// checkUnionK asserts UnionK against the fold: same union, same
+// positions (nil meaning the identity), strictly increasing maps, and
+// the right shared flag.
+func checkUnionK(t *testing.T, sets []*Set) {
+	t.Helper()
+	un := UnionK(sets...)
+	u, pos, shared := un.Set, un.Pos, un.Shared
+	wu, wpos, wshared := unionFold(sets)
+	if !u.Equal(wu) {
+		t.Fatalf("UnionK(%v) = %v, fold gives %v", sets, u, wu)
+	}
+	if shared != wshared {
+		t.Fatalf("UnionK(%v) shared = %v, want %v", sets, shared, wshared)
+	}
+	if len(pos) != len(sets) || len(un.Of) != len(sets) {
+		t.Fatalf("UnionK returned %d position maps and %d inputs for %d sets", len(pos), len(un.Of), len(sets))
+	}
+	for p, s := range sets {
+		if pos[p] != nil && len(pos[p]) != s.Len() {
+			t.Fatalf("set %d: %d positions for %d keys", p, len(pos[p]), s.Len())
+		}
+		for i := 0; i < s.Len(); i++ {
+			got := i
+			if pos[p] != nil {
+				got = pos[p][i]
+			}
+			if got != wpos[p][i] || u.Key(got) != s.Key(i) {
+				t.Fatalf("set %d key %q: position %d, fold gives %d", p, s.Key(i), got, wpos[p][i])
+			}
+			if i > 0 && pos[p] != nil && pos[p][i-1] >= pos[p][i] {
+				t.Fatalf("set %d positions not strictly increasing: %v", p, pos[p])
+			}
+		}
+	}
+}
+
+func TestUnionKMatchesFold(t *testing.T) {
+	cases := [][]*Set{
+		nil,
+		{New()},
+		{New(), New()},
+		{New("a", "b")},
+		{New(), New("a", "b"), New()},
+		{New("a", "c"), New("b", "d")},
+		{New("a", "b"), New("a", "b")},
+		{New("s000-1", "s000-2"), New("s001-1", "s001-2", "s001-3"), New("s002-1")},
+		{New("s002-1"), New("s000-1", "s000-2"), New("s001-1")},
+		{New("a", "m", "z"), New("m"), New("b", "m", "y"), New("m", "n")},
+	}
+	for _, sets := range cases {
+		checkUnionK(t, sets)
+	}
+	r := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 300; trial++ {
+		sets := make([]*Set, 1+r.Intn(8))
+		for p := range sets {
+			ks := make([]string, r.Intn(30))
+			// Shard-prefixed blocks, short interleaved keys, or keys
+			// tied on their first eight bytes (some with NUL bytes, some
+			// prefixes of others).
+			mode := r.Intn(3)
+			for i := range ks {
+				switch mode {
+				case 0:
+					ks[i] = fmt.Sprintf("s%03d-%04d", p, r.Intn(1000))
+				case 1:
+					ks[i] = fmt.Sprintf("v%03d", r.Intn(60))
+				default:
+					ks[i] = "vertex-0" + []string{"", "\x00", "\x00a", "1", "10", "2"}[r.Intn(6)] + fmt.Sprint(r.Intn(5))[:r.Intn(2)]
+				}
+			}
+			sets[p] = New(ks...)
+		}
+		checkUnionK(t, sets)
+	}
+}
+
+// One non-empty input comes back as the very same Set.
+func TestUnionKSingleInputShared(t *testing.T) {
+	s := New("a", "b")
+	u := UnionK(New(), s, New())
+	if u.Set != s || u.Shared || u.Pos[1] != nil {
+		t.Errorf("UnionK with one non-empty input = %+v", u)
+	}
+}

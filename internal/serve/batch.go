@@ -34,9 +34,9 @@ type batchRequest struct {
 const maxBatchBody = 1 << 20
 
 // handleBatch executes many query ops against ONE pinned snapshot —
-// the epoch-vector gather, the graph-cache lookup, and (for sharded
-// views) the ⊕-merge are paid once per request instead of once per
-// op. Per-op failures are reported inline (an unknown vertex in op 3
+// the epoch-vector pin, the graph-cache lookup, and (for sharded
+// views) the shard gather are paid once per request instead of once
+// per op. Per-op failures are reported inline (an unknown vertex in op 3
 // must not void the other 99 answers); request-level failures (bad
 // JSON, too many ops) fail the whole request.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {

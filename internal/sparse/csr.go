@@ -78,6 +78,11 @@ func (m *CSR[V]) Row(i int) (cols []int, vals []V) {
 	return m.colIdx[lo:hi], m.val[lo:hi]
 }
 
+// Values returns the stored values in storage order — row-major, the
+// order Iterate visits them — as a view into the matrix storage.
+// Callers must not mutate it.
+func (m *CSR[V]) Values() []V { return m.val }
+
 // At returns the stored value at (i, j) and whether an entry exists.
 func (m *CSR[V]) At(i, j int) (V, bool) {
 	var zero V

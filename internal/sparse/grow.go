@@ -37,7 +37,7 @@ func Embed[V any](m *CSR[V], rowPos, colPos []int, newRows, newCols int) (*CSR[V
 		if len(rowPos) != m.rows {
 			return nil, fmt.Errorf("sparse: Embed rowPos length %d, want %d", len(rowPos), m.rows)
 		}
-		if err := checkMonotone(rowPos, newRows, "rowPos"); err != nil {
+		if err := checkMonotone(rowPos, newRows, "Embed rowPos"); err != nil {
 			return nil, err
 		}
 	}
@@ -45,7 +45,7 @@ func Embed[V any](m *CSR[V], rowPos, colPos []int, newRows, newCols int) (*CSR[V
 		if len(colPos) != m.cols {
 			return nil, fmt.Errorf("sparse: Embed colPos length %d, want %d", len(colPos), m.cols)
 		}
-		if err := checkMonotone(colPos, newCols, "colPos"); err != nil {
+		if err := checkMonotone(colPos, newCols, "Embed colPos"); err != nil {
 			return nil, err
 		}
 	}
@@ -86,10 +86,10 @@ func Embed[V any](m *CSR[V], rowPos, colPos []int, newRows, newCols int) (*CSR[V
 func checkMonotone(pos []int, bound int, name string) error {
 	for i, p := range pos {
 		if p < 0 || p >= bound {
-			return fmt.Errorf("sparse: Embed %s[%d]=%d out of range [0,%d)", name, i, p, bound)
+			return fmt.Errorf("sparse: %s[%d]=%d out of range [0,%d)", name, i, p, bound)
 		}
 		if i > 0 && pos[i-1] >= p {
-			return fmt.Errorf("sparse: Embed %s not strictly increasing at %d", name, i)
+			return fmt.Errorf("sparse: %s not strictly increasing at %d", name, i)
 		}
 	}
 	return nil

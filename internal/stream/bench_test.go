@@ -174,3 +174,43 @@ func BenchmarkMaterializeFold(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkShardedGather times Snapshot + Merged right after a one-edge
+// append — the per-shard epoch pin plus the one-pass gather of the
+// adjacency and both incidence logs — on the same R-MAT scale-12 edge
+// set (auto keys, as core ingest assigns them) at 1, 2, 4 and 8 shards.
+// The gather copies rows into place, so its cost should track nnz, not
+// the shard count.
+func BenchmarkShardedGather(b *testing.B) {
+	g := dataset.RMAT(rand.New(rand.NewSource(1)), 12, 8)
+	es := g.Edges()
+	for _, shards := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("shards%d", shards), func(b *testing.B) {
+			sv := NewShardedView(semiring.PlusTimes(), ShardedOptions{Shards: shards})
+			batch := make([]Edge[float64], 0, len(es))
+			for _, e := range es {
+				batch = append(batch, Edge[float64]{Src: e.Src, Dst: e.Dst})
+			}
+			if err := sv.Append(batch); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				e := es[i%len(es)]
+				if err := sv.Append([]Edge[float64]{{Src: e.Src, Dst: e.Dst}}); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				ss, err := sv.Snapshot()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := ss.Merged(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

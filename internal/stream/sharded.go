@@ -14,7 +14,6 @@ import (
 	"adjarray/internal/iofault"
 	"adjarray/internal/keys"
 	"adjarray/internal/semiring"
-	"adjarray/internal/shard"
 )
 
 // ShardedView partitions the ingested vertex space across N
@@ -27,12 +26,13 @@ import (
 // choice makes the scatter-gather exact by construction: all
 // contributions to row r — for every destination column — arrive at one
 // shard in global arrival order, the per-shard View folds them exactly
-// as the single-view path would, and the snapshot-time ⊕-merge of the
-// per-shard adjacencies never combines two values into one cell (the
-// row sets are disjoint). The merged adjacency is therefore
-// bit-identical to the single-view construction regardless of ⊕ — the
-// only re-association points are the per-shard batch boundaries, the
-// same ones the single-view path has (shard.Engine's hypothesis, which
+// as the single-view path would, and the snapshot-time gather of the
+// per-shard adjacencies block-copies each shard's rows into place
+// without ever combining two values into one cell (the row sets are
+// disjoint). The gathered adjacency is therefore bit-identical to the
+// single-view construction regardless of ⊕ — the only re-association
+// points are the per-shard batch boundaries, the same ones the
+// single-view path has (shard.Engine's hypothesis, which
 // Options.CheckAssociative samples per batch as usual).
 //
 // The routing hash is a fixed FNV-1a over the Src bytes — deliberately
@@ -56,12 +56,7 @@ import (
 // committed. Callers that need all-or-nothing batches should route
 // per-shard batches themselves.
 type ShardedView[V any] struct {
-	ops semiring.Ops[V]
-	// eng drives the snapshot-time ⊕-merge of per-shard adjacencies;
-	// its Mul carries the caller's Workers so the merge runs
-	// span-parallel while the per-shard Views (already concurrent) run
-	// their own multiplications serially.
-	eng      shard.Engine[V]
+	ops      semiring.Ops[V]
 	views    []*View[V]
 	durables []*DurableView[V] // nil for in-memory sharded views
 
@@ -77,7 +72,7 @@ type ShardedView[V any] struct {
 	scatter sync.Pool // *shardScatter[V]
 
 	// cmu guards the last ShardedSnapshot, reused while the epoch
-	// vector is unchanged so repeated queries share one lazy merge.
+	// vector is unchanged so repeated queries share one lazy gather.
 	cmu    sync.Mutex
 	cached *ShardedSnapshot[V]
 }
@@ -89,8 +84,7 @@ type ShardedOptions struct {
 	Shards int
 	// Stream tunes each per-shard View. With more than one shard the
 	// per-shard Mul.Workers is forced to 1 (shards already run
-	// concurrently); the requested Workers still drives the
-	// snapshot-time ⊕-merge of the per-shard adjacencies.
+	// concurrently).
 	Stream Options
 }
 
@@ -122,7 +116,7 @@ func NewShardedView[V any](ops semiring.Ops[V], opt ShardedOptions) *ShardedView
 	if n < 1 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	sv := newShardedShell[V](ops, opt, n)
+	sv := newShardedShell[V](ops, n)
 	per := perShardOptions(opt, n)
 	for i := 0; i < n; i++ {
 		sv.views[i] = NewView(ops, per)
@@ -173,7 +167,7 @@ func OpenSharded[V any](dir string, ops semiring.Ops[V], opt ShardedOptions, dop
 			return nil, err
 		}
 	}
-	sv := newShardedShell[V](ops, opt, n)
+	sv := newShardedShell[V](ops, n)
 	sv.durables = make([]*DurableView[V], n)
 	per := perShardOptions(opt, n)
 	dopt.View = per
@@ -192,10 +186,9 @@ func OpenSharded[V any](dir string, ops semiring.Ops[V], opt ShardedOptions, dop
 	return sv, nil
 }
 
-func newShardedShell[V any](ops semiring.Ops[V], opt ShardedOptions, n int) *ShardedView[V] {
+func newShardedShell[V any](ops semiring.Ops[V], n int) *ShardedView[V] {
 	sv := &ShardedView[V]{
 		ops:      ops,
-		eng:      shard.Engine[V]{Ops: ops, Mul: opt.Stream.Mul},
 		views:    make([]*View[V], n),
 		smu:      make([]sync.Mutex, n),
 		autoSeq:  make([]int, n),
@@ -314,13 +307,13 @@ func (sv *ShardedView[V]) appendShard(i int, batch []Edge[V]) error {
 }
 
 // Snapshot pins one consistent epoch per shard — the epoch vector —
-// and returns a read view that lazily ⊕-merges the per-shard
+// and returns a read view that lazily gathers the per-shard
 // adjacencies on first use. Each per-shard snapshot is immutable and
 // copy-on-write exactly as View.Snapshot; the vector is the
 // consistency token query layers cache against (every response derived
 // from one ShardedSnapshot reflects each shard at exactly its pinned
 // epoch). While the vector is unchanged the same snapshot — and its
-// already-merged adjacency — is returned again.
+// already-gathered adjacency — is returned again.
 func (sv *ShardedView[V]) Snapshot() (*ShardedSnapshot[V], error) {
 	n := len(sv.views)
 	snaps := make([]Snapshot[V], n)
@@ -335,7 +328,7 @@ func (sv *ShardedView[V]) Snapshot() (*ShardedSnapshot[V], error) {
 		snaps[i] = s
 		epochs[i] = s.Epoch
 		edges += s.Edges
-		// Disjoint row ownership means the cross-shard merge never
+		// Disjoint row ownership means the cross-shard gather never
 		// ⊕-combines two values, so merged exactness is exactly the
 		// conjunction of the per-shard flags.
 		exact = exact && s.Exact
@@ -350,7 +343,7 @@ func (sv *ShardedView[V]) Snapshot() (*ShardedSnapshot[V], error) {
 		Epochs: epochs,
 		Edges:  edges,
 		Exact:  exact,
-		eng:    sv.eng,
+		ops:    sv.ops,
 	}
 	return sv.cached, nil
 }
@@ -520,8 +513,8 @@ func (sv *ShardedView[V]) Abort() {
 }
 
 // ShardedSnapshot is an immutable scatter-gather read view: per-shard
-// snapshots pinned at one epoch vector, with the merged adjacency (and
-// merged incidence logs) computed lazily on first use and shared by
+// snapshots pinned at one epoch vector, with the gathered adjacency (and
+// gathered incidence logs) computed lazily on first use and shared by
 // every caller holding the same snapshot.
 type ShardedSnapshot[V any] struct {
 	// Shards holds each shard's pinned snapshot, ascending shard order.
@@ -532,10 +525,13 @@ type ShardedSnapshot[V any] struct {
 	Edges int
 	// Exact reports whether the merged adjacency provably equals the
 	// one-shot batch construction (see Snapshot.Exact; the cross-shard
-	// merge itself is always exact because shards own disjoint rows).
+	// gather itself is always exact because shards own disjoint rows).
 	Exact bool
 
-	eng shard.Engine[V]
+	ops semiring.Ops[V]
+
+	vtxOnce  sync.Once // see vertices
+	src, dst *keys.Union
 
 	adjOnce sync.Once
 	adj     *assoc.Array[V]
@@ -551,91 +547,70 @@ type ShardedSnapshot[V any] struct {
 func (s *ShardedSnapshot[V]) EpochVector() []int { return slices.Clone(s.Epochs) }
 
 // Adjacency gathers the per-shard adjacencies into one array spanning
-// the union vertex universe: each shard's array is embedded into the
-// union key space and ⊕-merged in ascending shard order through the
-// shared engine (span-parallel when the view's Mul options request
-// workers). Because shards own disjoint row sets, the merge never
-// ⊕-combines two stored values — the gather is exact for any ⊕. The
-// merge runs once per snapshot and is cached.
+// the union vertex universe in one pass (assoc.Gather): the row and
+// column key unions are built once, then each shard's rows are
+// block-copied into place with their columns remapped. Because shards
+// own disjoint row sets no cell ever receives two values, so the gather
+// needs no ⊕ and is exact for any ⊕; its cost scales with nnz, not with
+// the shard count. The gather runs once per snapshot and is cached.
 func (s *ShardedSnapshot[V]) Adjacency() (*assoc.Array[V], error) {
-	s.adjOnce.Do(func() { s.adj, s.adjErr = s.mergeAdjacency() })
+	s.adjOnce.Do(func() {
+		src, dst := s.vertices()
+		adjs := make([]*assoc.Array[V], len(s.Shards))
+		for i, sn := range s.Shards {
+			adjs[i] = sn.Adjacency
+		}
+		s.adj, s.adjErr = assoc.Gather(adjs, src, dst, s.ops)
+	})
 	return s.adj, s.adjErr
 }
 
-func (s *ShardedSnapshot[V]) mergeAdjacency() (*assoc.Array[V], error) {
-	if len(s.Shards) == 1 {
-		return s.Shards[0].Adjacency, nil
-	}
-	var uRows, uCols *keys.Set
-	for _, sn := range s.Shards {
-		if uRows == nil {
-			uRows, uCols = sn.Adjacency.RowKeys(), sn.Adjacency.ColKeys()
-			continue
+// vertices returns the unions of the shards' source and destination
+// vertex sets, built once and shared by both gathers: each shard's
+// adjacency rows are its Eout columns and its adjacency columns its Ein
+// columns (View.Snapshot embeds the adjacency into the log's universe).
+func (s *ShardedSnapshot[V]) vertices() (src, dst *keys.Union) {
+	s.vtxOnce.Do(func() {
+		rows := make([]*keys.Set, len(s.Shards))
+		cols := make([]*keys.Set, len(s.Shards))
+		for i, sn := range s.Shards {
+			rows[i], cols[i] = sn.Adjacency.RowKeys(), sn.Adjacency.ColKeys()
 		}
-		uRows = uRows.Union(sn.Adjacency.RowKeys())
-		uCols = uCols.Union(sn.Adjacency.ColKeys())
-	}
-	var acc *assoc.Array[V]
-	owned := false // acc storage is merge-allocated, safe to mutate
-	for _, sn := range s.Shards {
-		pe, err := sn.Adjacency.EmbedInto(uRows, uCols)
-		if err != nil {
-			return nil, err
-		}
-		if acc == nil {
-			// The first partial shares its shard snapshot's storage, so
-			// the first real merge below must not run in place.
-			acc = pe
-			continue
-		}
-		acc, err = s.eng.MergeScratch(acc, pe, owned, nil)
-		if err != nil {
-			return nil, err
-		}
-		owned = true
-	}
-	if acc == nil {
-		return assoc.FromTriples[V](nil, nil), nil
-	}
-	return acc, nil
+		s.src, s.dst = keys.UnionK(rows...), keys.UnionK(cols...)
+	})
+	return s.src, s.dst
 }
 
 // Logs gathers the per-shard incidence logs into one pair spanning the
 // union edge-key and vertex universes. Edge keys are globally unique
-// (ascending explicit streams; prefixed auto keys), so the row sets are
-// disjoint and the gather — like the adjacency merge — never
-// ⊕-combines entries. The merged log's row order is ascending key
-// order, exactly the single-view log's order. Computed once per
-// snapshot and cached.
+// (ascending explicit streams; prefixed auto keys), so the shards' row
+// sets are disjoint and the gather — like the adjacency's — copies rows
+// into place without ⊕; shard-prefixed auto keys occupy one contiguous
+// key range per shard, so each shard's log is one block. The edge-key
+// union is built once and shared by Eout and Ein, and its order is
+// ascending key order, exactly the single-view log's layout. Computed
+// once per snapshot and cached.
 func (s *ShardedSnapshot[V]) Logs() (eout, ein *assoc.Array[V], err error) {
-	s.logOnce.Do(func() { s.eout, s.ein, s.logErr = s.mergeLogs() })
+	s.logOnce.Do(func() { s.eout, s.ein, s.logErr = s.gatherLogs() })
 	return s.eout, s.ein, s.logErr
 }
 
-func (s *ShardedSnapshot[V]) mergeLogs() (*assoc.Array[V], *assoc.Array[V], error) {
-	if len(s.Shards) == 1 {
-		return s.Shards[0].Eout, s.Shards[0].Ein, nil
+func (s *ShardedSnapshot[V]) gatherLogs() (*assoc.Array[V], *assoc.Array[V], error) {
+	src, dst := s.vertices()
+	outs := make([]*assoc.Array[V], len(s.Shards))
+	ins := make([]*assoc.Array[V], len(s.Shards))
+	edgeKeys := make([]*keys.Set, len(s.Shards))
+	for i, sn := range s.Shards {
+		outs[i], ins[i], edgeKeys[i] = sn.Eout, sn.Ein, sn.Eout.RowKeys()
 	}
-	var eout, ein *assoc.Array[V]
-	for _, sn := range s.Shards {
-		if sn.Eout.RowKeys().Len() == 0 {
-			continue
-		}
-		if eout == nil {
-			eout, ein = sn.Eout, sn.Ein
-			continue
-		}
-		var err error
-		if eout, err = assoc.Add(eout, sn.Eout, s.eng.Ops); err != nil {
-			return nil, nil, err
-		}
-		if ein, err = assoc.Add(ein, sn.Ein, s.eng.Ops); err != nil {
-			return nil, nil, err
-		}
+	edges := keys.UnionK(edgeKeys...)
+	eout, err := assoc.Gather(outs, edges, src, s.ops)
+	if err != nil {
+		return nil, nil, err
 	}
-	if eout == nil {
-		eout = assoc.FromTriples[V](nil, nil)
-		ein = assoc.FromTriples[V](nil, nil)
+	ein, err := assoc.Gather(ins, edges, dst, s.ops)
+	if err != nil {
+		return nil, nil, err
 	}
 	return eout, ein, nil
 }
